@@ -224,9 +224,11 @@ pub fn bake_scene(scene: &Scene, configs: &[BakeConfig]) -> Vec<BakedAsset> {
         scene.objects().len(),
         "one configuration per scene object is required"
     );
-    crate::pool::parallel_map(scene.len(), crate::pool::default_workers(scene.len()), |idx| {
-        bake_placed(&scene.objects()[idx], configs[idx])
-    })
+    nerflex_math::pool::parallel_map(
+        scene.len(),
+        nerflex_math::pool::default_workers(scene.len()),
+        |idx| bake_placed(&scene.objects()[idx], configs[idx]),
+    )
 }
 
 #[cfg(test)]

@@ -35,7 +35,6 @@ pub mod disk;
 pub mod fault;
 pub mod mesh;
 pub mod mlp;
-pub mod pool;
 pub mod splat;
 pub mod store;
 pub mod voxel;

@@ -32,8 +32,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Probe resolution: two 32-row metric tiles per image, matching the seed's
-/// `min(metrics_workers, tiles) = 2` threads per per-pair dispatch.
+/// Probe resolution: two 32-row metric tiles per image, so each per-pair
+/// dispatch runs `min(workers, tiles) = 2` threads.
 const RES: usize = 64;
 /// Sample configurations in the synthetic profile.
 const CONFIGS: usize = 12;

@@ -6,9 +6,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use nerflex_bake::BakeConfig;
 use nerflex_profile::fit::{fit_quality_model, fit_size_model};
-use nerflex_profile::measurement::{Measurement, MeasurementSettings, ObjectGroundTruth};
+use nerflex_profile::measurement::{
+    measure_object, Measurement, MeasurementContext, MeasurementSettings,
+};
 use nerflex_profile::model::{QualityModel, SizeModel};
 use nerflex_profile::sampling::{sample_configurations, SampleRange};
+use nerflex_profile::GroundTruthCache;
 use nerflex_scene::object::CanonicalObject;
 
 fn synthetic_measurements() -> Vec<Measurement> {
@@ -41,19 +44,20 @@ fn bench_sampling_and_fit(c: &mut Criterion) {
 
 fn bench_sample_measurement(c: &mut Criterion) {
     // One sample-point measurement at a small configuration: this is what the
-    // profiler pays per sample instead of a multi-hour NeRF training run.
+    // profiler pays per sample instead of a multi-hour NeRF training run. The
+    // ground truth is rendered once up front and served from the cache, so
+    // each iteration times only the bake, the probe renders and the scoring.
     let model = CanonicalObject::Hotdog.build();
     let settings =
         MeasurementSettings { views: 2, resolution: 48, ..MeasurementSettings::default() };
-    let ground_truth = ObjectGroundTruth::build(&model, &settings);
+    let ground_truth = GroundTruthCache::new();
+    let _ = ground_truth.get_or_build(&model, &settings, 1);
+    let context = MeasurementContext { ground_truth: Some(&ground_truth), ..Default::default() };
+    let measure = |config| measure_object(&model, &[config], &settings, &context);
     let mut group = c.benchmark_group("sample_measurement");
     group.sample_size(10);
-    group.bench_function("bake_and_score_g16_p5", |b| {
-        b.iter(|| ground_truth.measure(BakeConfig::new(16, 5)))
-    });
-    group.bench_function("bake_and_score_g32_p9", |b| {
-        b.iter(|| ground_truth.measure(BakeConfig::new(32, 9)))
-    });
+    group.bench_function("bake_and_score_g16_p5", |b| b.iter(|| measure(BakeConfig::new(16, 5))));
+    group.bench_function("bake_and_score_g32_p9", |b| b.iter(|| measure(BakeConfig::new(32, 9))));
     group.finish();
 }
 

@@ -14,8 +14,7 @@ use nerflex_bake::BakeConfig;
 use nerflex_bench::{print_header, seed_from_args, ExperimentMode};
 use nerflex_core::report::{fmt_f64, Table};
 use nerflex_profile::error::{analyze_errors, holdout_grid};
-use nerflex_profile::measurement::measure_object;
-use nerflex_profile::{build_profile, ObjectProfile};
+use nerflex_profile::{build_profile, measure_object, MeasurementContext, ObjectProfile};
 use nerflex_scene::object::CanonicalObject;
 
 fn main() {
@@ -27,7 +26,7 @@ fn main() {
     let model = object.build();
     let options = mode.profiler_options();
     println!("object: {} | sample range {:?}\n", object.name(), options.range);
-    let profile = build_profile(&model, 0, &options);
+    let profile = build_profile(&model, 0, &options, &MeasurementContext::default());
     print_fitted_models(&profile);
 
     // Sweep axes: the paper fixes p = 17 for the g sweep and g = 80 for the
@@ -47,7 +46,8 @@ fn main() {
     // Fig. 3(a)/(b): sweep mesh granularity at fixed patch size.
     let g_configs: Vec<BakeConfig> =
         g_values.iter().map(|&g| BakeConfig::new(g, fixed_p)).collect();
-    let g_truth = measure_object(&model, &g_configs, &options.measurement);
+    let g_truth =
+        measure_object(&model, &g_configs, &options.measurement, &MeasurementContext::default());
     let mut ab = Table::new(
         &format!("Fig. 3(a)+(b): sweep of mesh granularity (patch fixed at {fixed_p})"),
         &["g", "measured SSIM", "fitted SSIM", "measured MB", "fitted MB"],
@@ -66,7 +66,8 @@ fn main() {
     // Fig. 3(c)/(d): sweep patch size at fixed mesh granularity.
     let p_configs: Vec<BakeConfig> =
         p_values.iter().map(|&p| BakeConfig::new(fixed_g, p)).collect();
-    let p_truth = measure_object(&model, &p_configs, &options.measurement);
+    let p_truth =
+        measure_object(&model, &p_configs, &options.measurement, &MeasurementContext::default());
     let mut cd = Table::new(
         &format!("Fig. 3(c)+(d): sweep of patch size (granularity fixed at {fixed_g})"),
         &["p", "measured SSIM", "fitted SSIM", "measured MB", "fitted MB"],
@@ -101,7 +102,7 @@ fn main() {
     let mut s_means = Vec::new();
     for obj in objects {
         let model = obj.build();
-        let profile = build_profile(&model, 0, &options);
+        let profile = build_profile(&model, 0, &options, &MeasurementContext::default());
         let analysis = analyze_errors(&model, &profile, &holdout, &options.measurement);
         q_means.push(analysis.quality_error_mean);
         s_means.push(analysis.size_error_mean);

@@ -16,7 +16,7 @@ use nerflex_core::baselines::{bake_block_nerf, bake_single_nerf};
 use nerflex_core::evaluation::quality_against_dataset;
 use nerflex_core::experiments::EvaluationScene;
 use nerflex_core::report::{fmt_f64, Table};
-use nerflex_profile::build_profile;
+use nerflex_profile::{build_profile, MeasurementContext};
 use nerflex_solve::{
     ConfigSelector, DpSelector, FairnessSelector, SelectionProblem, SlsqpSelector,
 };
@@ -52,7 +52,7 @@ fn main() {
             .scene
             .objects()
             .iter()
-            .map(|obj| build_profile(&obj.model, obj.id, &options))
+            .map(|obj| build_profile(&obj.model, obj.id, &options, &MeasurementContext::default()))
             .collect();
 
         for (device, table) in [(&iphone, &mut iphone_table), (&pixel, &mut pixel_table)] {

@@ -12,7 +12,7 @@ use nerflex_core::baselines::{bake_block_nerf, bake_single_nerf};
 use nerflex_core::evaluation::masked_quality;
 use nerflex_core::experiments::EvaluationScene;
 use nerflex_core::report::{fmt_f64, Table};
-use nerflex_profile::build_profile;
+use nerflex_profile::{build_profile, MeasurementContext};
 use nerflex_scene::object::CanonicalObject;
 use nerflex_solve::{
     ConfigSelector, DpSelector, FairnessSelector, SelectionProblem, SlsqpSelector,
@@ -36,7 +36,7 @@ fn main() {
         .scene
         .objects()
         .iter()
-        .map(|obj| build_profile(&obj.model, obj.id, &options))
+        .map(|obj| build_profile(&obj.model, obj.id, &options, &MeasurementContext::default()))
         .collect();
 
     let quantisation = if mode == ExperimentMode::Full { 1.0 } else { 0.05 };

@@ -125,7 +125,7 @@ fn main() {
             "{} ({} rendered on {} workers, {} served from cache)",
             format_duration(t.ground_truth),
             t.ground_truth_builds,
-            t.ground_truth_workers,
+            t.profiling_sample_workers,
             t.ground_truth_hits
         ),
     ]);
@@ -135,7 +135,7 @@ fn main() {
             "{} ({} evaluations on {} workers)",
             format_duration(t.metrics),
             t.metrics_evaluations,
-            t.metrics_workers
+            t.profiling_sample_workers
         ),
     ]);
     engine.push_row(vec![
@@ -146,10 +146,10 @@ fn main() {
         "worker pool (profiling stage)".to_string(),
         format!(
             "{} persistent threads, {} dispatches / {} jobs{}",
-            nerflex_bake::pool::WorkerPool::shared().threads(),
+            nerflex_math::pool::WorkerPool::shared().threads(),
             t.pool_dispatches,
             t.pool_jobs,
-            match nerflex_bake::pool::env_workers() {
+            match nerflex_math::pool::env_workers() {
                 Some(n) => format!(" (NERFLEX_WORKERS={n})"),
                 None => String::new(),
             }
@@ -303,16 +303,18 @@ fn main() {
             .float_field("ground_truth_ms", t.ground_truth_ms())
             .int_field("ground_truth_builds", t.ground_truth_builds as u64)
             .int_field("ground_truth_hits", t.ground_truth_hits as u64)
-            .int_field("ground_truth_workers", t.ground_truth_workers as u64)
+            // The ground-truth tiles and the metrics grid both run at the
+            // per-profile width; the two keys stay for existing readers.
+            .int_field("ground_truth_workers", t.profiling_sample_workers as u64)
             .float_field("metrics_ms", t.metrics_ms())
-            .int_field("metrics_workers", t.metrics_workers as u64)
+            .int_field("metrics_workers", t.profiling_sample_workers as u64)
             .int_field("metrics_evaluations", t.metrics_evaluations as u64)
             .int_field("profiling_workers", t.profiling_workers as u64)
             .int_field("profiling_sample_workers", t.profiling_sample_workers as u64)
             .int_field("pool_dispatches", t.pool_dispatches)
             .int_field("pool_jobs", t.pool_jobs)
-            .int_field("pool_threads", nerflex_bake::pool::WorkerPool::shared().threads() as u64)
-            .int_field("env_workers", nerflex_bake::pool::env_workers().unwrap_or(0) as u64)
+            .int_field("pool_threads", nerflex_math::pool::WorkerPool::shared().threads() as u64)
+            .int_field("env_workers", nerflex_math::pool::env_workers().unwrap_or(0) as u64)
             .int_field("stage_cache_hits", t.cache_hits as u64)
             .int_field("stage_cache_disk_hits", t.cache_disk_hits as u64)
             .int_field("stage_cache_misses", t.cache_misses as u64)

@@ -11,15 +11,16 @@
 //! Three engine properties keep the cloud-side preparation cheap (the
 //! paper's Fig. 9 overhead story):
 //!
-//! * **Stage parallelism** — profiling and baking fan out over a worker pool
-//!   (one worker per core by default, [`PipelineOptions::worker_threads`]
-//!   overrides; `1` reproduces the sequential path bit-for-bit).
+//! * **Stage parallelism** — profiling and baking fan out over the shared
+//!   worker pool under one worker setting,
+//!   [`PipelineOptions::worker_threads`] (one worker per core by default;
+//!   `1` reproduces the sequential path bit-for-bit).
 //! * **Bake caching** — every sample bake the profiler pays for lands in a
 //!   shared [`BakeCache`], and the final baking stage consults it first: a
 //!   selected configuration that was already probed is never re-baked.
 //!   [`StageTimings`] reports the hit/miss counters.
-//! * **Fleet amortisation** — [`NerflexPipeline::deploy_fleet`] prepares one
-//!   scene for many devices: segmentation and profiling run exactly once,
+//! * **Fleet amortisation** — [`NerflexPipeline::try_deploy_fleet`] prepares
+//!   one scene for many devices: segmentation and profiling run exactly once,
 //!   and only selection plus incremental baking run per device budget, with
 //!   all bakes shared through one cache.
 
@@ -29,7 +30,8 @@ use nerflex_bake::{BakeCache, BakeConfig, BakedAsset, CacheStats, StoreLimits, S
 use nerflex_device::{DeviceSpec, Workload};
 use nerflex_math::WorkerPool;
 use nerflex_profile::{
-    build_profile_accounted, GroundTruthCache, MetricsAccounting, ObjectProfile, ProfilerOptions,
+    build_profile, GroundTruthCache, MeasurementContext, MetricsAccounting, ObjectProfile,
+    ProfilerOptions,
 };
 use nerflex_scene::dataset::Dataset;
 use nerflex_scene::scene::Scene;
@@ -40,16 +42,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why a deployment request (or a whole pipeline run) was rejected at
-/// admission. These used to be `assert!` panics inside the entry points;
-/// the `try_*` variants ([`NerflexPipeline::try_run`],
+/// admission or failed in flight. Every entry point
+/// ([`NerflexPipeline::try_run`], [`NerflexPipeline::try_run_with_cache`],
 /// [`NerflexPipeline::try_deploy_fleet`],
-/// [`crate::service::DeployService::submit`]) report them as values so a
+/// [`crate::service::DeployService::submit`]) reports these as values, so a
 /// long-running service can refuse one bad request without dying.
 ///
-/// The `Display` strings deliberately contain the historical panic messages
-/// (`"cannot deploy an empty scene"`, `"need training views"`, `"need at
-/// least one device"`), so the deprecated panicking wrappers keep their
-/// observable behaviour.
+/// The `Display` strings are stable (`"cannot deploy an empty scene"`,
+/// `"need training views"`, `"need at least one device"`), so logs and
+/// callers matching on them keep working across versions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PipelineError {
     /// The scene has no objects.
@@ -163,45 +164,36 @@ pub struct PipelineOptions {
     pub space: ConfigSpace,
     /// The configuration selector (Algorithm 1 by default).
     pub selector: Arc<dyn ConfigSelector + Send + Sync>,
-    /// Pipeline-wide fallback override for the memory budget in MB; `None`
-    /// uses the device's recommended budget (240 MB iPhone / 150 MB Pixel).
-    /// Per-request budgets belong on [`crate::service::DeployRequest`]
-    /// (`with_budget_mb`) — this field only remains as the fallback behind
-    /// the deprecated [`PipelineOptions::with_budget_override_mb`] sugar and
-    /// is deliberately no longer `pub`.
-    pub(crate) budget_override_mb: Option<f64>,
-    /// Worker threads for the parallel stages (profiling, baking): `0` uses
-    /// one worker per available core; `1` forces the sequential path (useful
-    /// for determinism comparisons and single-core environments). Workers
-    /// left over after fanning out across objects fan out *within* each
-    /// profile, over its independent sample measurements.
+    /// The engine's one worker setting: `0` uses the `NERFLEX_WORKERS`
+    /// override when set, else one worker per available core; `1` forces
+    /// the sequential path (useful for determinism comparisons and
+    /// single-core environments). Output bits never depend on it.
+    ///
+    /// Profiling splits the budget `W` into objects × per-profile width:
+    /// `min(W, objects)` workers fan out across the scene's objects, and
+    /// each profile measures with `W / objects-workers` (at least 1) as its
+    /// [`MeasurementContext::workers`] — the width of its sample bakes, its
+    /// (configuration × view) evaluation grid and its ground-truth render
+    /// tiles. [`StageTimings`] reports the two factors as
+    /// `profiling_workers × profiling_sample_workers`. Baking fans out over
+    /// `min(W, objects)` workers.
     pub worker_threads: usize,
     /// How the persistent stores are opened — one [`StoreOptions`] builder
     /// covering location/backend, retention limits and read-only mode. The
     /// bake store lives at the root the options name and the ground-truth
     /// store under its `ground-truth/` child ([`StoreOptions::subdir`]), on
-    /// every backend layer. When persistent, [`NerflexPipeline::run`] and
-    /// [`NerflexPipeline::deploy_fleet`] open the stores before the run and
-    /// flush new entries after it, so bakes and ground truths are shared
-    /// across *processes* — and, with [`StoreOptions::shared`], across
-    /// *machines* through a common remote. The in-memory default keeps both
-    /// caches per-run.
+    /// every backend layer. When persistent, [`NerflexPipeline::try_run`]
+    /// and [`NerflexPipeline::try_deploy_fleet`] open the stores before the
+    /// run and flush new entries after it, so bakes and ground truths are
+    /// shared across *processes* — and, with [`StoreOptions::shared`],
+    /// across *machines* through a common remote. The in-memory default
+    /// keeps both caches per-run.
     ///
     /// Retention limits apply **per store** (each is swept to the limits
     /// independently, local layer only), so a `max_bytes` of N bounds the
     /// store root at up to 2·N total; a pruned entry costs one re-bake /
     /// re-render on its next miss, never correctness.
     pub store: StoreOptions,
-    /// The persistent worker pool the engine's stage fan-outs (profiling,
-    /// baking) dispatch through, and whose dispatch/job counters
-    /// [`StageTimings`] reports. Defaults to the process-wide
-    /// [`WorkerPool::shared`] pool — the same pool the inner layers
-    /// (ground-truth ray marching, batched measurement, fused metrics)
-    /// dispatch on — so no stage ever re-spawns threads. Tests can
-    /// substitute a leaked owned pool to isolate the outer fan-outs'
-    /// dispatch counters. Scheduling never changes output bits (see
-    /// `docs/pool.md`).
-    pub pool: &'static WorkerPool,
     /// Deterministic compute-stage fault injection
     /// ([`crate::fault::StageFaultInjector`]): when set, every stage entry
     /// (segmentation, profiling, selection, baking) is gated through the
@@ -217,10 +209,8 @@ impl std::fmt::Debug for PipelineOptions {
             .field("segmentation", &self.segmentation)
             .field("space", &self.space)
             .field("selector", &self.selector.name())
-            .field("budget_override_mb", &self.budget_override_mb)
             .field("worker_threads", &self.worker_threads)
             .field("store", &self.store)
-            .field("pool_threads", &self.pool.threads())
             .field("stage_faults", &self.stage_faults)
             .finish()
     }
@@ -233,10 +223,8 @@ impl Default for PipelineOptions {
             profiler: ProfilerOptions::default(),
             space: ConfigSpace::paper_default(),
             selector: Arc::new(DpSelector::default()),
-            budget_override_mb: None,
             worker_threads: 0,
             store: StoreOptions::default(),
-            pool: WorkerPool::shared(),
             stage_faults: None,
         }
     }
@@ -283,20 +271,8 @@ impl PipelineOptions {
         self
     }
 
-    /// Pins a pipeline-wide memory-budget override in MB, applied to every
-    /// device the pipeline deploys to.
-    #[deprecated(
-        since = "0.2.0",
-        note = "budgets are per-request now: set them on `DeployRequest::with_budget_mb` (the \
-                service path) — this sugar only installs a pipeline-wide fallback"
-    )]
-    pub fn with_budget_override_mb(mut self, budget_mb: f64) -> Self {
-        self.budget_override_mb = Some(budget_mb);
-        self
-    }
-
-    /// Sets the worker-thread count for the parallel stages (`0` = one per
-    /// core, `1` = sequential).
+    /// Sets the engine's one worker setting (`0` = one per core, `1` =
+    /// sequential; see [`PipelineOptions::worker_threads`]).
     pub fn with_worker_threads(mut self, workers: usize) -> Self {
         self.worker_threads = workers;
         self
@@ -306,13 +282,6 @@ impl PipelineOptions {
     /// read-only mode — see [`PipelineOptions::store`]).
     pub fn with_store(mut self, store: StoreOptions) -> Self {
         self.store = store;
-        self
-    }
-
-    /// Replaces the worker pool the parallel stages dispatch through (see
-    /// [`PipelineOptions::pool`]). Scheduling never changes output bits.
-    pub fn with_pool(mut self, pool: &'static WorkerPool) -> Self {
-        self.pool = pool;
         self
     }
 
@@ -363,11 +332,9 @@ pub struct StageTimings {
     /// Time spent ray-marching object ground truths inside the profiling
     /// stage (sum of per-object build times — the dominant profiling cost).
     /// Near zero when the shared [`GroundTruthCache`] answered every lookup,
-    /// e.g. on a warm persistent store.
+    /// e.g. on a warm persistent store. The renders are tiled over
+    /// `profiling_sample_workers` threads.
     pub ground_truth: Duration,
-    /// Worker threads tiling each ground-truth render (the per-profile
-    /// leftover budget; output bits never depend on it).
-    pub ground_truth_workers: usize,
     /// Ground truths actually rendered by the profiling stage.
     pub ground_truth_builds: usize,
     /// Ground-truth lookups answered without rendering (in-memory or
@@ -379,9 +346,6 @@ pub struct StageTimings {
     /// times (serial-equivalent, like `profiling_serial`): concurrent sample
     /// workers score in parallel, so this can exceed the stage's wall clock.
     pub metrics: Duration,
-    /// Worker threads tiling each fused metrics evaluation (the per-profile
-    /// leftover budget; metric values never depend on it).
-    pub metrics_workers: usize,
     /// Number of (ground truth, render) pairs the metrics stage scored.
     pub metrics_evaluations: usize,
     /// Configuration selection (the DP solver).
@@ -390,8 +354,9 @@ pub struct StageTimings {
     pub baking: Duration,
     /// Worker threads fanned out across objects by the profiling stage.
     pub profiling_workers: usize,
-    /// Worker threads fanned out *within* each profile, over its independent
-    /// sample measurements (1 = sequential per object).
+    /// Worker threads fanned out *within* each profile — the
+    /// [`MeasurementContext::workers`] of its sample bakes, evaluation grid
+    /// and ground-truth render tiles (1 = sequential per object).
     pub profiling_sample_workers: usize,
     /// Worker threads used by the baking stage.
     pub baking_workers: usize,
@@ -465,21 +430,18 @@ impl StageTimings {
     /// Formats the breakdown as a one-line summary.
     pub fn summary(&self) -> String {
         format!(
-            "segmentation {} | profiler {} ({}x{} workers, {:.1}x speedup; ground truth {} on \
-             {} workers, {} built / {} cached; metrics {} on {} workers, {} evaluations) | \
-             solver {} | total overhead {} | bake cache {}/{} hits ({} from disk) | \
-             pool {} dispatches / {} jobs",
+            "segmentation {} | profiler {} ({}x{} workers, {:.1}x speedup; ground truth {}, \
+             {} built / {} cached; metrics {}, {} evaluations) | solver {} | total overhead {} | \
+             bake cache {}/{} hits ({} from disk) | pool {} dispatches / {} jobs",
             format_duration(self.segmentation),
             format_duration(self.profiling),
             self.profiling_workers.max(1),
             self.profiling_sample_workers.max(1),
             self.profiling_speedup(),
             format_duration(self.ground_truth),
-            self.ground_truth_workers.max(1),
             self.ground_truth_builds,
             self.ground_truth_hits,
             format_duration(self.metrics),
-            self.metrics_workers.max(1),
             self.metrics_evaluations,
             format_duration(self.selection),
             format_duration(self.overhead()),
@@ -545,7 +507,7 @@ pub struct FleetStageRuns {
     pub baking: usize,
 }
 
-/// The output of [`NerflexPipeline::deploy_fleet`]: one deployment per
+/// The output of [`NerflexPipeline::try_deploy_fleet`]: one deployment per
 /// device, produced from a single segmentation + profiling pass and a shared
 /// bake cache.
 #[derive(Debug, Clone)]
@@ -587,7 +549,7 @@ impl NerflexPipeline {
     /// override when set, else one per core).
     fn configured_workers(&self) -> usize {
         match self.options.worker_threads {
-            0 => nerflex_bake::pool::env_workers()
+            0 => nerflex_math::pool::env_workers()
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
             n => n,
         }
@@ -602,8 +564,8 @@ impl NerflexPipeline {
     /// named by [`PipelineOptions::store`] when persistent (falling back to
     /// an in-memory cache if the backing store is unusable), an in-memory
     /// cache otherwise. Callers that hold the cache across runs pair this
-    /// with [`BakeCache::flush`]; [`NerflexPipeline::run`] and
-    /// [`NerflexPipeline::deploy_fleet`] do both automatically.
+    /// with [`BakeCache::flush`]; [`NerflexPipeline::try_run`] and
+    /// [`NerflexPipeline::try_deploy_fleet`] do both automatically.
     pub fn open_cache(&self) -> BakeCache {
         if !self.options.store.is_persistent() {
             // In-memory open cannot fail; going through `open` (rather than
@@ -662,10 +624,11 @@ impl NerflexPipeline {
 
     /// Stage 2: lightweight profiling, one profile per scene object, fanned
     /// out over the worker pool at two levels: the outer fan-out covers the
-    /// objects, and the worker budget left over fans out *within* each
-    /// profile — over its independent sample measurements and over the row
-    /// tiles of its ground-truth renders. With one configured worker every
-    /// level collapses to the bit-for-bit sequential path. Sample bakes land
+    /// objects, and the worker budget left over is each profile's
+    /// [`MeasurementContext::workers`] — its sample bakes, its
+    /// (configuration × view) grid and the row tiles of its ground-truth
+    /// renders. With one configured worker every level collapses to the
+    /// bit-for-bit sequential path. Sample bakes land
     /// in `cache`; ground truths land in (and come from) the shared
     /// [`GroundTruthCache`], so duplicate objects and warm persistent stores
     /// skip the dominant ray-marching cost entirely. Returns the profiles,
@@ -682,40 +645,30 @@ impl NerflexPipeline {
         let t = Instant::now();
         let workers = self.workers_for(scene.len());
         let sample_workers = (self.configured_workers() / workers).max(1);
-        // The metrics evaluations run *inside* the per-sample fan-out, so
-        // they only get whatever budget the outer two levels leave over —
-        // giving them `sample_workers` would oversubscribe the pool
-        // (workers × samples × metrics threads) for tiny per-image tilings.
-        // The values are worker-count invariant either way.
-        let metrics_workers = (self.configured_workers() / (workers * sample_workers)).max(1);
-        let mut profiler = self.options.profiler;
-        profiler.measurement.worker_threads = sample_workers;
-        profiler.measurement.ground_truth_workers = sample_workers;
-        profiler.measurement.metrics_workers = metrics_workers;
         let metrics_accounting = MetricsAccounting::new();
-        let pool_before = self.options.pool.stats();
+        let context = MeasurementContext {
+            bake_cache: Some(cache),
+            ground_truth: Some(ground_truth),
+            accounting: Some(&metrics_accounting),
+            workers: sample_workers,
+        };
+        let pool = WorkerPool::shared();
+        let pool_before = pool.stats();
         // Snapshot the ground-truth counters so the stage reports *this
         // run's* deltas: a long-lived service reuses one cache across many
         // requests, and cumulative totals would misattribute earlier work.
         let gt_before = ground_truth.stats();
         let gt_time_before = ground_truth.build_time();
-        let profiled = self.options.pool.run(scene.len(), workers, |idx| {
+        let profiled = pool.run(scene.len(), workers, |idx| {
             let object = &scene.objects()[idx];
             let t_obj = Instant::now();
-            let profile = build_profile_accounted(
-                &object.model,
-                object.id,
-                &profiler,
-                Some(cache),
-                Some(ground_truth),
-                Some(&metrics_accounting),
-            );
+            let profile = build_profile(&object.model, object.id, &self.options.profiler, &context);
             (profile, t_obj.elapsed())
         });
         let serial = profiled.iter().map(|(_, d)| *d).sum();
         let profiles = profiled.into_iter().map(|(p, _)| p).collect();
         let gt_stats = ground_truth.stats();
-        let pool_after = self.options.pool.stats();
+        let pool_after = pool.stats();
         (
             profiles,
             SharedStages {
@@ -725,12 +678,10 @@ impl NerflexPipeline {
                 profiling_workers: workers,
                 profiling_sample_workers: sample_workers,
                 ground_truth: ground_truth.build_time() - gt_time_before,
-                ground_truth_workers: sample_workers,
                 ground_truth_builds: gt_stats.builds - gt_before.builds,
                 ground_truth_hits: (gt_stats.hits + gt_stats.disk_hits)
                     - (gt_before.hits + gt_before.disk_hits),
                 metrics: metrics_accounting.time(),
-                metrics_workers,
                 metrics_evaluations: metrics_accounting.evaluations(),
                 pool_dispatches: pool_after.dispatches - pool_before.dispatches,
                 pool_jobs: pool_after.jobs - pool_before.jobs,
@@ -765,7 +716,7 @@ impl NerflexPipeline {
         let t = Instant::now();
         let before = cache.stats();
         let workers = self.workers_for(scene.len());
-        let assets = self.options.pool.run(scene.len(), workers, |idx| {
+        let assets = WorkerPool::shared().run(scene.len(), workers, |idx| {
             let object = &scene.objects()[idx];
             // Bake exactly what the selector chose: clamping a selected
             // configuration would silently diverge from the prediction the
@@ -826,17 +777,14 @@ impl NerflexPipeline {
     }
 
     /// Resolves the memory budget for one request: the request's own
-    /// override when given, else the (deprecated) pipeline-wide override,
-    /// else the device's recommended budget. Overrides must be positive and
-    /// finite.
+    /// override when given, else the device's recommended budget. Overrides
+    /// must be positive and finite.
     pub(crate) fn resolve_budget_mb(
         &self,
         request_override_mb: Option<f64>,
         device: &DeviceSpec,
     ) -> Result<f64, PipelineError> {
-        let budget_mb = request_override_mb
-            .or(self.options.budget_override_mb)
-            .unwrap_or(device.recommended_budget_mb);
+        let budget_mb = request_override_mb.unwrap_or(device.recommended_budget_mb);
         if !budget_mb.is_finite() || budget_mb <= 0.0 {
             return Err(PipelineError::InvalidBudget { requested_mb: budget_mb });
         }
@@ -867,15 +815,6 @@ impl NerflexPipeline {
         Ok(fleet.deployments.into_iter().next().expect("one device yields one deployment"))
     }
 
-    /// Deprecated panicking form of [`NerflexPipeline::try_run`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_run`, which reports invalid input as `PipelineError` instead of panicking"
-    )]
-    pub fn run(&self, scene: &Scene, dataset: &Dataset, device: &DeviceSpec) -> NerflexDeployment {
-        self.try_run(scene, dataset, device).unwrap_or_else(|err| panic!("{err}"))
-    }
-
     /// [`NerflexPipeline::try_run`] against a caller-owned [`BakeCache`], so
     /// sample and final bakes persist across pipeline runs (e.g. re-deploying
     /// after a budget change re-bakes nothing that was already baked). This
@@ -896,22 +835,6 @@ impl NerflexPipeline {
         let budget_mb = self.resolve_budget_mb(None, device)?;
         let (segmentation, profiles, shared) = self.shared_stages(scene, dataset, cache);
         Ok(self.deploy_budget(scene, device, budget_mb, &segmentation, &profiles, cache, shared))
-    }
-
-    /// Deprecated panicking form of [`NerflexPipeline::try_run_with_cache`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_run_with_cache`, which reports invalid input as `PipelineError` instead \
-                of panicking"
-    )]
-    pub fn run_with_cache(
-        &self,
-        scene: &Scene,
-        dataset: &Dataset,
-        device: &DeviceSpec,
-        cache: &BakeCache,
-    ) -> NerflexDeployment {
-        self.try_run_with_cache(scene, dataset, device, cache).unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Prepares one scene for a whole fleet of devices, amortising the
@@ -977,21 +900,6 @@ impl NerflexPipeline {
         })
     }
 
-    /// Deprecated panicking form of [`NerflexPipeline::try_deploy_fleet`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_deploy_fleet`, which reports invalid input as `PipelineError` instead of \
-                panicking"
-    )]
-    pub fn deploy_fleet(
-        &self,
-        scene: &Scene,
-        dataset: &Dataset,
-        devices: &[DeviceSpec],
-    ) -> FleetDeployment {
-        self.try_deploy_fleet(scene, dataset, devices).unwrap_or_else(|err| panic!("{err}"))
-    }
-
     /// The per-budget tail of the pipeline (selection + baking) over shared
     /// segmentation/profiling outputs. The `Arc`s are cloned by reference
     /// count only — a fleet's deployments share one copy of the segmentation
@@ -1030,11 +938,9 @@ impl NerflexPipeline {
                 baking: baking_time,
                 profiling_workers: shared.profiling_workers,
                 profiling_sample_workers: shared.profiling_sample_workers,
-                ground_truth_workers: shared.ground_truth_workers,
                 ground_truth_builds: shared.ground_truth_builds,
                 ground_truth_hits: shared.ground_truth_hits,
                 metrics: shared.metrics,
-                metrics_workers: shared.metrics_workers,
                 metrics_evaluations: shared.metrics_evaluations,
                 pool_dispatches: shared.pool_dispatches,
                 pool_jobs: shared.pool_jobs,
@@ -1059,11 +965,9 @@ pub(crate) struct SharedStages {
     profiling_workers: usize,
     profiling_sample_workers: usize,
     ground_truth: Duration,
-    ground_truth_workers: usize,
     ground_truth_builds: usize,
     ground_truth_hits: usize,
     metrics: Duration,
-    metrics_workers: usize,
     metrics_evaluations: usize,
     pool_dispatches: u64,
     pool_jobs: u64,
@@ -1128,13 +1032,26 @@ mod tests {
         // sampling also probes (g ∈ {10, 30, 40} × p ∈ {3, 6, 9} corners).
         // The final bake must therefore be answered by the cache.
         let (scene, dataset) = small_scene_and_dataset();
-        // The deprecated pipeline-wide override still works as sugar for a
-        // per-request budget.
-        #[allow(deprecated)]
-        let pipeline =
-            NerflexPipeline::new(PipelineOptions::quick().with_budget_override_mb(500.0));
-        let deployment =
-            pipeline.try_run(&scene, &dataset, &DeviceSpec::iphone_13()).expect("deploy");
+        let service = crate::service::DeployService::new(crate::service::ServiceOptions::inline(
+            PipelineOptions::quick(),
+        ));
+        service
+            .submit(
+                crate::service::DeployRequest::new(
+                    Arc::new(scene.clone()),
+                    Arc::new(dataset),
+                    DeviceSpec::iphone_13(),
+                )
+                .with_budget_mb(500.0),
+            )
+            .expect("valid request");
+        let deployment = service
+            .next_outcome()
+            .expect("one outcome")
+            .into_success()
+            .expect("success")
+            .deployment;
+        assert_eq!(deployment.budget_mb, 500.0, "the request's budget is the one enforced");
         let profiled: Vec<BakeConfig> =
             deployment.profiles[0].samples.iter().map(|s| s.config).collect();
         let picked_profiled =
@@ -1171,13 +1088,12 @@ mod tests {
         assert_eq!(t.ground_truth_hits, 1);
         assert!(t.ground_truth > Duration::ZERO);
         assert!(t.ground_truth_ms() > 0.0);
-        assert!(t.ground_truth_workers >= 1);
+        assert!(t.profiling_sample_workers >= 1, "ground truths render on the per-profile width");
         assert!(t.summary().contains("ground truth"));
         // The metrics stage is accounted alongside: every sample render of
         // both profiles was scored by the fused engine.
         assert!(t.metrics > Duration::ZERO, "metrics stage must be timed: {t:?}");
         assert!(t.metrics_ms() > 0.0);
-        assert!(t.metrics_workers >= 1);
         assert!(t.metrics_evaluations > 0);
         assert!(t.summary().contains("metrics"));
     }
@@ -1329,8 +1245,7 @@ mod tests {
 
     #[test]
     fn pipeline_errors_display_the_historic_panic_messages() {
-        // The deprecated panicking wrappers format these errors into their
-        // panic message — the strings the old asserts used must survive.
+        // The stable message strings must survive in the error messages.
         assert!(PipelineError::EmptyScene.to_string().contains("cannot deploy an empty scene"));
         assert!(PipelineError::EmptyDataset.to_string().contains("need training views"));
         assert!(PipelineError::EmptyFleet.to_string().contains("need at least one device"));
@@ -1359,36 +1274,10 @@ mod tests {
             .with_selector(Arc::clone(&default.selector))
             .with_worker_threads(default.worker_threads)
             .with_store(default.store.clone())
-            .with_pool(default.pool)
             .with_stage_faults(crate::fault::StageFaultPlan::none());
         assert_eq!(rebuilt.profiler.range, default.profiler.range);
         assert_eq!(rebuilt.space.configurations().len(), default.space.configurations().len());
         assert_eq!(rebuilt.worker_threads, default.worker_threads);
         assert_eq!(rebuilt.store.describe(), default.store.describe());
-        assert_eq!(rebuilt.budget_override_mb, None);
-        assert!(std::ptr::eq(rebuilt.pool, default.pool));
-        // The deprecated sugar still routes to the same field the requests
-        // override.
-        #[allow(deprecated)]
-        let sugared = PipelineOptions::default().with_budget_override_mb(42.0);
-        assert_eq!(sugared.budget_override_mb, Some(42.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty scene")]
-    fn empty_scene_panics() {
-        let scene = Scene::new();
-        let other = Scene::with_objects(&[CanonicalObject::Hotdog], 1);
-        let dataset = Dataset::generate(&other, 1, 1, 32, 32);
-        #[allow(deprecated)]
-        let _ = NerflexPipeline::default().run(&scene, &dataset, &DeviceSpec::iphone_13());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one device")]
-    fn empty_fleet_panics() {
-        let (scene, dataset) = small_scene_and_dataset();
-        #[allow(deprecated)]
-        let _ = NerflexPipeline::new(PipelineOptions::quick()).deploy_fleet(&scene, &dataset, &[]);
     }
 }

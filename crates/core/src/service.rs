@@ -682,7 +682,7 @@ impl ServiceShared {
             // acyclic and cannot deadlock. Cancellation and deadlines are
             // part of the predicate so an abandoned waiter leaves promptly
             // — without touching the cell.
-            self.pool().wait_until(|| {
+            WorkerPool::shared().wait_until(|| {
                 flight.cancelled.load(Ordering::Relaxed)
                     || self.deadline_passed(job)
                     || !matches!(
@@ -766,10 +766,6 @@ impl ServiceShared {
             ticket: job.ticket,
             result: Ok(CompletedDeploy { deployment, coalesced, deployment_fingerprint }),
         }
-    }
-
-    fn pool(&self) -> &'static WorkerPool {
-        self.pipeline.options().pool
     }
 
     /// Sheds every queued request as an [`PipelineError::Overloaded`]
@@ -1240,7 +1236,7 @@ impl DeployService {
             // detected even though a stalled executor never signals.
             if self.shared.watchdog_ticks.is_some() {
                 drop(q);
-                let _progressed = self.shared.pool().wait_until_for(
+                let _progressed = WorkerPool::shared().wait_until_for(
                     || {
                         let q = self.shared.queue.lock().expect("service queue poisoned");
                         !q.completed.is_empty() || (q.queued.is_empty() && q.in_flight == 0)

@@ -7,7 +7,7 @@
 //! simulator: it measures a held-out grid of configurations and summarises
 //! the absolute prediction errors.
 
-use crate::measurement::{measure_object, MeasurementSettings};
+use crate::measurement::{measure_object, MeasurementContext, MeasurementSettings};
 use crate::profiler::ObjectProfile;
 use nerflex_bake::BakeConfig;
 use nerflex_math::stats::Summary;
@@ -43,7 +43,7 @@ pub fn analyze_errors(
     settings: &MeasurementSettings,
 ) -> ErrorAnalysis {
     assert!(!configs.is_empty(), "need at least one held-out configuration");
-    let measurements = measure_object(model, configs, settings);
+    let measurements = measure_object(model, configs, settings, &MeasurementContext::default());
     let quality_errors: Vec<f64> = measurements
         .iter()
         .map(|m| (profile.predict_quality(m.config.grid, m.config.patch) - m.ssim).abs())
@@ -108,7 +108,7 @@ mod tests {
         // variable-step samples, evaluate on configurations never sampled.
         let model = CanonicalObject::Hotdog.build();
         let options = ProfilerOptions::quick();
-        let profile = build_profile(&model, 0, &options);
+        let profile = build_profile(&model, 0, &options, &MeasurementContext::default());
         let holdout = vec![BakeConfig::new(14, 7), BakeConfig::new(28, 5), BakeConfig::new(34, 7)];
         let analysis = analyze_errors(&model, &profile, &holdout, &options.measurement);
         assert_eq!(analysis.configurations, 3);
@@ -129,7 +129,8 @@ mod tests {
     #[should_panic(expected = "at least one held-out configuration")]
     fn empty_holdout_panics() {
         let model = CanonicalObject::Hotdog.build();
-        let profile = build_profile(&model, 0, &ProfilerOptions::quick());
+        let profile =
+            build_profile(&model, 0, &ProfilerOptions::quick(), &MeasurementContext::default());
         let _ = analyze_errors(&model, &profile, &[], &MeasurementSettings::default());
     }
 

@@ -299,7 +299,9 @@ impl GroundTruthCache {
     }
 
     /// Returns the ground truth for `(model, settings)`, rendering and
-    /// storing it on first request. An entry indexed from the persistent
+    /// storing it on first request (tiled over `workers` pool threads, `0` =
+    /// one per core; the worker count is not part of the key because it
+    /// never changes the images). An entry indexed from the persistent
     /// store is read and decoded here, on its first lookup — outside the
     /// entry lock, so other profiling workers keep making progress during
     /// long reads/builds.
@@ -312,10 +314,12 @@ impl GroundTruthCache {
         &self,
         model: &ObjectModel,
         settings: &MeasurementSettings,
+        workers: usize,
     ) -> Arc<ObjectGroundTruth> {
         let key = (model_fingerprint(model), settings.views, settings.resolution);
-        self.store
-            .get_or_build(key, (model, settings), || ObjectGroundTruth::build(model, settings))
+        self.store.get_or_build(key, (model, settings), || {
+            ObjectGroundTruth::build(model, settings, workers)
+        })
     }
 
     /// Writes every ground truth rendered since the last flush to the
@@ -342,7 +346,8 @@ impl GroundTruthCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nerflex_bake::StoreLimits;
+    use crate::measurement::{measure_object, MeasurementContext};
+    use nerflex_bake::{BakeConfig, StoreLimits};
     use nerflex_scene::object::CanonicalObject;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -404,21 +409,26 @@ mod tests {
         let cache = GroundTruthCache::new();
         let model = CanonicalObject::Hotdog.build();
         let settings = quick_settings();
-        let first = cache.get_or_build(&model, &settings);
-        let again = cache.get_or_build(&model, &settings);
+        let first = cache.get_or_build(&model, &settings, 1);
+        let again = cache.get_or_build(&model, &settings, 1);
         // A second independently generated copy of the same object is the
         // same content and therefore the same entry.
-        let clone = cache.get_or_build(&CanonicalObject::Hotdog.build(), &settings);
+        let clone = cache.get_or_build(&CanonicalObject::Hotdog.build(), &settings, 1);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.builds, stats.entries), (2, 1, 1, 1));
         assert!(Arc::ptr_eq(&first, &again) && Arc::ptr_eq(&first, &clone));
         assert!(cache.build_time() > Duration::ZERO);
-        // Worker counts never affect the key (output bits are identical).
-        let other = cache.get_or_build(&model, &settings.with_ground_truth_workers(4));
+        // Worker counts never affect the key (output bits are identical),
+        // whether given directly or as a measurement context's width.
+        let other = cache.get_or_build(&model, &settings, 4);
         assert!(Arc::ptr_eq(&first, &other), "worker count is not part of the key");
+        let context =
+            MeasurementContext { ground_truth: Some(&cache), workers: 4, ..Default::default() };
+        let _ = measure_object(&model, &[BakeConfig::new(10, 3)], &settings, &context);
+        assert_eq!(cache.stats().builds, 1, "a 4-worker measurement reuses the 1-worker entry");
         let mut finer = settings;
         finer.resolution = 32;
-        let _ = cache.get_or_build(&model, &finer);
+        let _ = cache.get_or_build(&model, &finer, 1);
         assert_eq!(cache.stats().entries, 2);
     }
 
@@ -430,13 +440,13 @@ mod tests {
 
         let cache = GroundTruthCache::open(&tmp.0).expect("open");
         assert_eq!(cache.stats().indexed_from_disk, 0);
-        let built = cache.get_or_build(&model, &settings);
+        let built = cache.get_or_build(&model, &settings, 1);
         assert_eq!(cache.flush().expect("flush"), 1);
         assert_eq!(cache.flush().expect("clean flush"), 0);
 
         let reopened = GroundTruthCache::open(&tmp.0).expect("reopen");
         assert_eq!(reopened.stats().indexed_from_disk, 1);
-        let loaded = reopened.get_or_build(&model, &settings);
+        let loaded = reopened.get_or_build(&model, &settings, 1);
         let stats = reopened.stats();
         assert_eq!((stats.hits, stats.disk_hits, stats.misses), (0, 1, 0));
         assert_eq!(reopened.build_time(), Duration::ZERO, "warm lookup renders nothing");
@@ -451,7 +461,7 @@ mod tests {
         let model = CanonicalObject::Hotdog.build();
         let settings = quick_settings();
         let cache = GroundTruthCache::open(&tmp.0).expect("open");
-        let built = cache.get_or_build(&model, &settings);
+        let built = cache.get_or_build(&model, &settings, 1);
         cache.flush().expect("flush");
 
         // Truncate the entry file; the reopened cache still indexes it but
@@ -463,14 +473,14 @@ mod tests {
 
         let reopened = GroundTruthCache::open(&tmp.0).expect("reopen");
         assert_eq!(reopened.stats().indexed_from_disk, 1);
-        let rebuilt = reopened.get_or_build(&model, &settings);
+        let rebuilt = reopened.get_or_build(&model, &settings, 1);
         let stats = reopened.stats();
         assert_eq!((stats.disk_hits, stats.misses), (0, 1));
         assert_eq!(built.images, rebuilt.images, "re-render is bit-identical");
         // The next flush repairs the damaged file.
         assert_eq!(reopened.flush().expect("repair"), 1);
         let repaired = GroundTruthCache::open(&tmp.0).expect("open repaired");
-        let _ = repaired.get_or_build(&model, &settings);
+        let _ = repaired.get_or_build(&model, &settings, 1);
         assert_eq!(repaired.stats().disk_hits, 1);
     }
 
@@ -480,7 +490,7 @@ mod tests {
         let model = CanonicalObject::Hotdog.build();
         let settings = quick_settings();
         let cache = GroundTruthCache::open(&tmp.0).expect("open");
-        let built = cache.get_or_build(&model, &settings);
+        let built = cache.get_or_build(&model, &settings, 1);
         cache.flush().expect("flush");
 
         // A zero age budget sweeps the persisted ground truth on open; the
@@ -489,7 +499,7 @@ mod tests {
             .with_limits(StoreLimits::default().with_max_age(std::time::Duration::ZERO));
         let pruned = GroundTruthCache::open(options).expect("open");
         assert_eq!(pruned.stats().indexed_from_disk, 0, "expired entry must not index");
-        let rebuilt = pruned.get_or_build(&model, &settings);
+        let rebuilt = pruned.get_or_build(&model, &settings, 1);
         assert_eq!(pruned.stats().misses, 1);
         assert_eq!(built.images, rebuilt.images);
 
@@ -514,13 +524,13 @@ mod tests {
 
         let a =
             GroundTruthCache::open(StoreOptions::shared(&local_a.0, &remote.0)).expect("open A");
-        let built = a.get_or_build(&model, &settings);
+        let built = a.get_or_build(&model, &settings, 1);
         a.flush().expect("flush A");
 
         let b =
             GroundTruthCache::open(StoreOptions::shared(&local_b.0, &remote.0)).expect("open B");
         assert_eq!(b.stats().indexed_from_disk, 1, "cold local layer indexes the remote");
-        let loaded = b.get_or_build(&model, &settings);
+        let loaded = b.get_or_build(&model, &settings, 1);
         let stats = b.stats();
         assert_eq!((stats.disk_hits, stats.misses), (1, 0), "warm remote renders nothing");
         assert_eq!(b.build_time(), Duration::ZERO);
@@ -530,27 +540,28 @@ mod tests {
     #[test]
     fn in_memory_flush_is_a_noop() {
         let cache = GroundTruthCache::new();
-        let _ = cache.get_or_build(&CanonicalObject::Hotdog.build(), &quick_settings());
+        let _ = cache.get_or_build(&CanonicalObject::Hotdog.build(), &quick_settings(), 1);
         assert_eq!(cache.dir(), None);
         assert_eq!(cache.flush().expect("noop"), 0);
     }
 
     #[test]
     fn measurements_do_not_depend_on_the_ground_truth_source() {
-        use crate::measurement::measure_object_in;
-        use nerflex_bake::BakeConfig;
-
         let tmp = TempDir::new("measure");
         let model = CanonicalObject::Hotdog.build();
         let settings = quick_settings();
         let configs = [BakeConfig::new(10, 3), BakeConfig::new(16, 5)];
+        let measure = |ground_truth| {
+            let context = MeasurementContext { ground_truth, ..MeasurementContext::default() };
+            measure_object(&model, &configs, &settings, &context)
+        };
 
-        let direct = measure_object_in(&model, &configs, &settings, None, None);
+        let direct = measure(None);
         let cold = GroundTruthCache::open(&tmp.0).expect("open");
-        let first = measure_object_in(&model, &configs, &settings, None, Some(&cold));
+        let first = measure(Some(&cold));
         cold.flush().expect("flush");
         let warm = GroundTruthCache::open(&tmp.0).expect("reopen");
-        let second = measure_object_in(&model, &configs, &settings, None, Some(&warm));
+        let second = measure(Some(&warm));
         assert_eq!(direct, first);
         assert_eq!(first, second);
         assert_eq!(warm.stats().misses, 0, "warm run renders no ground truth");

@@ -6,8 +6,10 @@
 //! training runs for the sample points; the profiler then fits its
 //! closed-form models to these measurements.
 
-use nerflex_bake::{bake_object, BakeCache, BakeConfig, BakedAsset};
+use crate::ground_truth::GroundTruthCache;
+use nerflex_bake::{BakeCache, BakeConfig};
 use nerflex_image::{metrics, Image, MetricsScratch};
+use nerflex_math::pool::default_workers;
 use nerflex_math::{LaneWidth, WorkerPool};
 use nerflex_render::{render_assets, RenderOptions};
 use nerflex_scene::camera_path::{orbit_path, CameraPose};
@@ -15,7 +17,7 @@ use nerflex_scene::object::ObjectModel;
 use nerflex_scene::scene::Scene;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One measured sample point.
@@ -32,112 +34,66 @@ pub struct Measurement {
     pub quad_count: usize,
 }
 
-/// How measurements are taken (probe view count, resolution, and how many
-/// worker threads fan out over the sample configurations and over the
-/// ground-truth render tiles).
+/// What is measured: the probe view count and resolution, and the SIMD
+/// lane width of the kernels that measure it. How a measurement runs —
+/// caches, accounting, worker width — is the [`MeasurementContext`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeasurementSettings {
     /// Number of probe views on the measurement orbit.
     pub views: usize,
     /// Probe image resolution (square).
     pub resolution: usize,
-    /// Worker threads measuring sample configurations in parallel: the
-    /// per-object samples are independent measurements against one shared
-    /// ground truth, so they fan out over the bake worker pool. `1`
-    /// (the default) is the bit-for-bit sequential path; `0` uses one
-    /// worker per available core.
-    pub worker_threads: usize,
-    /// Worker threads for the tiled ray-marched ground-truth renders
-    /// ([`nerflex_scene::raymarch::render_view_parallel`]). The rendered
-    /// images are bit-identical for every value; `1` (the default) is the
-    /// sequential path, `0` uses one worker per available core.
-    pub ground_truth_workers: usize,
-    /// Worker threads for the fused quality-metrics evaluation
-    /// ([`nerflex_image::metrics::quality_metrics_parallel`]) that scores a
-    /// sample render against the ground truth. The metric values are
-    /// bit-identical for every value; `1` (the default) is the sequential
-    /// path, `0` uses one worker per available core.
-    pub metrics_workers: usize,
     /// SIMD lane width of the ground-truth ray marching and the fused
     /// metrics band kernel. Output bits never change with the lane width
     /// (see `docs/determinism.md`), so this is purely a throughput knob.
     pub lane_width: LaneWidth,
-    /// How the (configuration × probe view) evaluation grid is scheduled
-    /// over the worker pool. Both modes are bit-identical; see
-    /// [`DispatchMode`].
-    pub dispatch: DispatchMode,
 }
 
 impl Default for MeasurementSettings {
     fn default() -> Self {
-        Self {
-            views: 3,
-            resolution: 96,
-            worker_threads: 1,
-            ground_truth_workers: 1,
-            metrics_workers: 1,
-            lane_width: LaneWidth::X4,
-            dispatch: DispatchMode::Batched,
-        }
+        Self { views: 3, resolution: 96, lane_width: LaneWidth::X4 }
     }
-}
-
-/// How a profile's (configuration × probe view) evaluation grid is
-/// scheduled over the persistent worker pool.
-///
-/// Both modes produce bit-identical measurements: the batched grid scores
-/// each (configuration, view) pair with the same fused metrics engine and
-/// folds the per-view scores in view order — the same floating-point
-/// association as the per-sample loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DispatchMode {
-    /// One pool dispatch per profile *stage*, one job per sample
-    /// configuration; each job renders and scores its probe views in a
-    /// local loop (the pre-batching reference path).
-    PerSample,
-    /// Whole-profile batching: one dispatch bakes every configuration,
-    /// then a single dispatch fans the flattened (configuration × view)
-    /// grid with persistent per-worker scratch (framebuffers and metrics
-    /// buffers reused across jobs). Fewer dispatches, fewer allocations,
-    /// same bits.
-    #[default]
-    Batched,
 }
 
 impl MeasurementSettings {
-    /// Returns the settings with the given sample-measurement worker count
-    /// (`0` = one per core, `1` = sequential).
-    pub fn with_worker_threads(mut self, workers: usize) -> Self {
-        self.worker_threads = workers;
-        self
-    }
-
-    /// Returns the settings with the given ground-truth render worker count
-    /// (`0` = one per core, `1` = sequential; output bits never change).
-    pub fn with_ground_truth_workers(mut self, workers: usize) -> Self {
-        self.ground_truth_workers = workers;
-        self
-    }
-
-    /// Returns the settings with the given metrics worker count (`0` = one
-    /// per core, `1` = sequential; metric values never change).
-    pub fn with_metrics_workers(mut self, workers: usize) -> Self {
-        self.metrics_workers = workers;
-        self
-    }
-
     /// Returns the settings with the given SIMD lane width (output bits
     /// never change).
     pub fn with_lane_width(mut self, lane_width: LaneWidth) -> Self {
         self.lane_width = lane_width;
         self
     }
+}
 
-    /// Returns the settings with the given evaluation-grid dispatch mode
-    /// (both modes are bit-identical).
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
+/// What one measurement shares with the rest of a profiling run, and the
+/// worker width it fans out at. The default shares nothing and runs on one
+/// worker — the bit-for-bit sequential path; no field ever changes a
+/// measurement bit (see `docs/determinism.md`).
+#[derive(Debug, Clone, Copy)]
+pub struct MeasurementContext<'a> {
+    /// Shared bake cache for the sample bakes. The pipeline engine passes
+    /// one, so the final baking stage reuses every configuration the
+    /// profiler probed and repeated probes of one configuration are free.
+    pub bake_cache: Option<&'a BakeCache>,
+    /// Shared ground-truth cache: repeated profiling of the same (model,
+    /// probe settings) pair — duplicate objects in a scene, fleet
+    /// re-deployments, warm bench/CI runs — renders the expensive
+    /// ray-marched ground truth only once. Cached and freshly built ground
+    /// truths are bit-identical.
+    pub ground_truth: Option<&'a GroundTruthCache>,
+    /// Wall-clock accounting of the fused quality-metrics stage (the
+    /// engine passes one per profiling run and reports its total as
+    /// `StageTimings::metrics`).
+    pub accounting: Option<&'a MetricsAccounting>,
+    /// Worker width of every fan-out inside a measurement: the sample
+    /// bakes, the (configuration × view) evaluation grid and the row tiles
+    /// of the ground-truth renders. `1` is the sequential path; `0` uses
+    /// one worker per available core.
+    pub workers: usize,
+}
+
+impl Default for MeasurementContext<'_> {
+    fn default() -> Self {
+        Self { bake_cache: None, ground_truth: None, accounting: None, workers: 1 }
     }
 }
 
@@ -214,10 +170,10 @@ impl ObjectGroundTruth {
     }
 
     /// Renders the ground truth for a standalone object. The ray-marched
-    /// probe renders are tiled over `settings.ground_truth_workers` pool
-    /// threads and marched at `settings.lane_width`; the images are
+    /// probe renders are tiled over `workers` pool threads (`0` = one per
+    /// core) and marched at `settings.lane_width`; the images are
     /// bit-identical for every worker count and lane width.
-    pub fn build(model: &ObjectModel, settings: &MeasurementSettings) -> Self {
+    pub fn build(model: &ObjectModel, settings: &MeasurementSettings, workers: usize) -> Self {
         let (scene, poses) = Self::probe_rig(model, settings);
         let images = poses
             .iter()
@@ -227,7 +183,7 @@ impl ObjectGroundTruth {
                     pose,
                     settings.resolution,
                     settings.resolution,
-                    settings.ground_truth_workers,
+                    workers,
                     settings.lane_width,
                 )
                 .0
@@ -255,184 +211,46 @@ impl ObjectGroundTruth {
         let (scene, poses) = Self::probe_rig(model, settings);
         Some(Self { scene, poses, images, resolution: settings.resolution })
     }
-
-    /// Measures one configuration: bakes the object, renders the probe views
-    /// and compares against the cached ground truth.
-    pub fn measure(&self, config: BakeConfig) -> Measurement {
-        self.measure_in(config, None, 1, None)
-    }
-
-    /// Like [`ObjectGroundTruth::measure`], but the sample bake goes through
-    /// the shared [`BakeCache`] — so the final baking stage can later reuse
-    /// it, and repeated probes of one configuration are free.
-    pub fn measure_cached(&self, config: BakeConfig, cache: &BakeCache) -> Measurement {
-        self.measure_in(config, Some(cache), 1, None)
-    }
-
-    /// The fully wired measurement: optional shared bake cache, the fused
-    /// quality metrics tiled over `metrics_workers` pool threads (`0` = one
-    /// per core; metric values are bit-identical for every count) and
-    /// optional wall-clock accounting of the metrics stage.
-    pub fn measure_in(
-        &self,
-        config: BakeConfig,
-        cache: Option<&BakeCache>,
-        metrics_workers: usize,
-        accounting: Option<&MetricsAccounting>,
-    ) -> Measurement {
-        let placed = &self.scene.objects()[0];
-        let asset = match cache {
-            Some(cache) => cache.get_or_bake_placed(placed, config),
-            None => nerflex_bake::bake_placed(placed, config),
-        };
-        self.score(asset, metrics_workers, accounting)
-    }
-
-    /// Renders the probe views of a baked asset and scores them against the
-    /// cached ground truth through the fused metrics engine.
-    fn score(
-        &self,
-        asset: BakedAsset,
-        metrics_workers: usize,
-        accounting: Option<&MetricsAccounting>,
-    ) -> Measurement {
-        let mut ssim_sum = 0.0;
-        for (pose, gt) in self.poses.iter().zip(&self.images) {
-            let (img, _) = render_assets(
-                std::slice::from_ref(&asset),
-                pose,
-                self.resolution,
-                self.resolution,
-                &RenderOptions::default(),
-            );
-            let started = Instant::now();
-            ssim_sum += metrics::quality_metrics_parallel(gt, &img, metrics_workers).ssim;
-            if let Some(accounting) = accounting {
-                accounting.record(started.elapsed());
-            }
-        }
-        Measurement {
-            config: asset.config,
-            size_mb: asset.size_mb(),
-            ssim: ssim_sum / self.poses.len() as f64,
-            quad_count: asset.primitive_count(),
-        }
-    }
 }
 
-/// Measures every configuration in `configs` for a standalone object.
+/// Measures every configuration in `configs` for a standalone object: bakes
+/// each one, renders its probe views and scores them against the object's
+/// ground truth.
 ///
-/// This is the "ground truth" path used both to build profiles (on the sample
-/// configurations) and to validate them (on a dense grid, Fig. 3).
+/// This is the one profiling measurement path: it builds profiles (on the
+/// sample configurations), validates them (on a dense grid, Fig. 3), and
+/// runs inside the pipeline engine with a shared [`MeasurementContext`].
+///
+/// The evaluation is batched over the whole profile: one pool dispatch
+/// bakes every configuration, a second fans the flattened (configuration ×
+/// view) grid with a persistent [`MetricsScratch`] per pool worker, then
+/// the per-view scores are folded per configuration **in view order** —
+/// the same floating-point association as a plain per-configuration loop,
+/// so neither batching nor `context.workers` ever changes a measurement
+/// bit.
 pub fn measure_object(
     model: &ObjectModel,
     configs: &[BakeConfig],
     settings: &MeasurementSettings,
+    context: &MeasurementContext<'_>,
 ) -> Vec<Measurement> {
-    measure_object_cached(model, configs, settings, None)
-}
-
-/// Measures every configuration in `configs`, routing sample bakes through
-/// the shared [`BakeCache`] when one is given. This is the profiling path the
-/// pipeline engine uses: every sample bake it pays for becomes available to
-/// the final baking stage.
-pub fn measure_object_cached(
-    model: &ObjectModel,
-    configs: &[BakeConfig],
-    settings: &MeasurementSettings,
-    cache: Option<&BakeCache>,
-) -> Vec<Measurement> {
-    measure_object_in(model, configs, settings, cache, None)
-}
-
-/// Like [`measure_object_cached`], but the expensive ray-marched ground
-/// truth additionally comes from a shared
-/// [`GroundTruthCache`](crate::ground_truth::GroundTruthCache) when one is
-/// given — so repeated profiling of the same (model, probe settings) pair
-/// (duplicate objects in a scene, fleet re-deployments, warm bench/CI runs)
-/// renders it only once. Cached and freshly built ground truths are
-/// bit-identical, so the measurements do not depend on where the ground
-/// truth came from.
-pub fn measure_object_in(
-    model: &ObjectModel,
-    configs: &[BakeConfig],
-    settings: &MeasurementSettings,
-    cache: Option<&BakeCache>,
-    ground_truth: Option<&crate::ground_truth::GroundTruthCache>,
-) -> Vec<Measurement> {
-    measure_object_accounted(model, configs, settings, cache, ground_truth, None)
-}
-
-/// [`measure_object_in`] with optional wall-clock accounting of the fused
-/// quality-metrics stage (the engine passes one [`MetricsAccounting`] per
-/// profiling run and reports its total as `StageTimings::metrics`).
-pub fn measure_object_accounted(
-    model: &ObjectModel,
-    configs: &[BakeConfig],
-    settings: &MeasurementSettings,
-    cache: Option<&BakeCache>,
-    ground_truth: Option<&crate::ground_truth::GroundTruthCache>,
-    accounting: Option<&MetricsAccounting>,
-) -> Vec<Measurement> {
-    let ground_truth = match ground_truth {
-        Some(shared) => shared.get_or_build(model, settings),
-        None => std::sync::Arc::new(ObjectGroundTruth::build(model, settings)),
+    let ground_truth = match context.ground_truth {
+        Some(shared) => shared.get_or_build(model, settings, context.workers),
+        None => Arc::new(ObjectGroundTruth::build(model, settings, context.workers)),
     };
-    match settings.dispatch {
-        DispatchMode::PerSample => {
-            // The sample configurations are independent measurements against
-            // the shared ground truth: fan them out over the worker pool.
-            // Results come back in config order and every measurement is
-            // deterministic (the fused metrics are bit-identical for every
-            // `metrics_workers` count), so any worker count produces
-            // bit-identical output (1 = sequential).
-            let workers = match settings.worker_threads {
-                0 => nerflex_bake::pool::default_workers(configs.len()),
-                n => n,
-            };
-            nerflex_bake::pool::parallel_map(configs.len(), workers, |idx| {
-                ground_truth.measure_in(configs[idx], cache, settings.metrics_workers, accounting)
-            })
-        }
-        DispatchMode::Batched => {
-            measure_batched(&ground_truth, configs, settings, cache, accounting)
-        }
-    }
-}
-
-/// The whole-profile batched evaluation: dispatch 1 bakes every sample
-/// configuration, dispatch 2 fans the flattened (configuration × view) grid
-/// with a persistent [`MetricsScratch`] per pool worker, then the per-view
-/// scores are folded per configuration **in view order** — the same
-/// floating-point association as the per-sample loop, so batching never
-/// changes a measurement bit (`1` worker is the bit-for-bit sequential
-/// path). Two dispatches regardless of the profile size, versus one
-/// dispatch per stage plus per-pair metric allocations on the
-/// [`DispatchMode::PerSample`] path.
-fn measure_batched(
-    ground_truth: &ObjectGroundTruth,
-    configs: &[BakeConfig],
-    settings: &MeasurementSettings,
-    cache: Option<&BakeCache>,
-    accounting: Option<&MetricsAccounting>,
-) -> Vec<Measurement> {
-    let pool = WorkerPool::shared();
-    let placed = &ground_truth.scene.objects()[0];
-    let bake_workers = match settings.worker_threads {
-        0 => nerflex_bake::pool::default_workers(configs.len()),
+    let workers = |jobs| match context.workers {
+        0 => default_workers(jobs),
         n => n,
     };
-    let assets = pool.run(configs.len(), bake_workers, |idx| match cache {
+    let pool = WorkerPool::shared();
+    let placed = &ground_truth.scene.objects()[0];
+    let assets = pool.run(configs.len(), workers(configs.len()), |idx| match context.bake_cache {
         Some(cache) => cache.get_or_bake_placed(placed, configs[idx]),
         None => nerflex_bake::bake_placed(placed, configs[idx]),
     });
     let views = ground_truth.poses.len();
     let pairs = configs.len() * views;
-    let pair_workers = match settings.worker_threads {
-        0 => nerflex_bake::pool::default_workers(pairs),
-        n => n,
-    };
-    let ssims = pool.run_scratch(pairs, pair_workers, MetricsScratch::new, |scratch, pair| {
+    let ssims = pool.run_scratch(pairs, workers(pairs), MetricsScratch::new, |scratch, pair| {
         let (config_idx, view) = (pair / views, pair % views);
         let (img, _) = render_assets(
             std::slice::from_ref(&assets[config_idx]),
@@ -449,7 +267,7 @@ fn measure_batched(
             scratch,
         )
         .ssim;
-        if let Some(accounting) = accounting {
+        if let Some(accounting) = context.accounting {
             accounting.record(started.elapsed());
         }
         ssim
@@ -472,22 +290,6 @@ fn measure_batched(
         .collect()
 }
 
-/// Measures a single standalone bake without reusing ground truth (handy for
-/// one-off comparisons in examples and tests).
-pub fn measure_single(
-    model: &ObjectModel,
-    config: BakeConfig,
-    settings: &MeasurementSettings,
-) -> Measurement {
-    // Standalone size accounting (no placement) sanity-checks the placed bake.
-    let standalone_size = bake_object(model, config).size_mb();
-    let ground_truth = ObjectGroundTruth::build(model, settings);
-    let mut m = ground_truth.measure(config);
-    debug_assert!((m.size_mb - standalone_size).abs() < standalone_size * 0.5 + 1.0);
-    m.size_mb = standalone_size;
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,11 +299,51 @@ mod tests {
         MeasurementSettings { views: 2, resolution: 56, ..MeasurementSettings::default() }
     }
 
+    fn on_workers(workers: usize) -> MeasurementContext<'static> {
+        MeasurementContext { workers, ..MeasurementContext::default() }
+    }
+
+    /// The sequential reference the batched path must reproduce bit for
+    /// bit: a plain loop that bakes each configuration, renders its probe
+    /// views one by one and sums their scores in view order.
+    fn sequential_reference(
+        model: &ObjectModel,
+        configs: &[BakeConfig],
+        settings: &MeasurementSettings,
+    ) -> Vec<Measurement> {
+        let ground_truth = ObjectGroundTruth::build(model, settings, 1);
+        let placed = &ground_truth.scene.objects()[0];
+        configs
+            .iter()
+            .map(|&config| {
+                let asset = nerflex_bake::bake_placed(placed, config);
+                let mut ssim_sum = 0.0;
+                for (pose, gt) in ground_truth.poses.iter().zip(&ground_truth.images) {
+                    let (img, _) = render_assets(
+                        std::slice::from_ref(&asset),
+                        pose,
+                        ground_truth.resolution,
+                        ground_truth.resolution,
+                        &RenderOptions::default(),
+                    );
+                    ssim_sum += metrics::quality_metrics(gt, &img).ssim;
+                }
+                Measurement {
+                    config: asset.config,
+                    size_mb: asset.size_mb(),
+                    ssim: ssim_sum / ground_truth.poses.len() as f64,
+                    quad_count: asset.primitive_count(),
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn measurements_grow_in_size_and_quality_with_the_knobs() {
         let model = CanonicalObject::Hotdog.build();
         let configs = vec![BakeConfig::new(10, 3), BakeConfig::new(36, 9)];
-        let measurements = measure_object(&model, &configs, &quick_settings());
+        let measurements =
+            measure_object(&model, &configs, &quick_settings(), &MeasurementContext::default());
         assert_eq!(measurements.len(), 2);
         assert!(measurements[1].size_mb > measurements[0].size_mb);
         assert!(measurements[1].ssim > measurements[0].ssim, "{measurements:?}");
@@ -516,7 +358,8 @@ mod tests {
     fn splat_configurations_measure_through_the_same_path() {
         let model = CanonicalObject::Hotdog.build();
         let configs = vec![BakeConfig::splat(20, 256), BakeConfig::splat(20, 1024)];
-        let measurements = measure_object(&model, &configs, &quick_settings());
+        let measurements =
+            measure_object(&model, &configs, &quick_settings(), &MeasurementContext::default());
         assert_eq!(measurements.len(), 2);
         // Size is linear in the kept count; quality improves with more splats.
         assert!(measurements[1].size_mb > measurements[0].size_mb * 3.0);
@@ -536,10 +379,22 @@ mod tests {
     fn ground_truth_cache_is_reused_consistently() {
         let model = CanonicalObject::Chair.build();
         let settings = quick_settings();
-        let gt = ObjectGroundTruth::build(&model, &settings);
-        let a = gt.measure(BakeConfig::new(20, 5));
-        let b = gt.measure(BakeConfig::new(20, 5));
+        let ground_truth = GroundTruthCache::new();
+        let context = MeasurementContext {
+            ground_truth: Some(&ground_truth),
+            workers: 1,
+            ..Default::default()
+        };
+        let configs = [BakeConfig::new(20, 5)];
+        let a = measure_object(&model, &configs, &settings, &context);
+        let b = measure_object(&model, &configs, &settings, &context);
         assert_eq!(a, b, "same config must measure identically");
+        let stats = ground_truth.stats();
+        assert_eq!(
+            (stats.builds, stats.hits),
+            (1, 1),
+            "the second measurement reuses the ground truth"
+        );
     }
 
     #[test]
@@ -549,52 +404,30 @@ mod tests {
         // measurements in identical order.
         let model = CanonicalObject::Hotdog.build();
         let configs = vec![BakeConfig::new(10, 3), BakeConfig::new(16, 5), BakeConfig::new(24, 7)];
-        let sequential = measure_object(&model, &configs, &quick_settings().with_worker_threads(1));
-        let parallel = measure_object(&model, &configs, &quick_settings().with_worker_threads(4));
+        let sequential = measure_object(&model, &configs, &quick_settings(), &on_workers(1));
+        let parallel = measure_object(&model, &configs, &quick_settings(), &on_workers(4));
         assert_eq!(sequential, parallel);
         // And the auto setting (one worker per core) agrees too.
-        let auto = measure_object(&model, &configs, &quick_settings().with_worker_threads(0));
+        let auto = measure_object(&model, &configs, &quick_settings(), &on_workers(0));
         assert_eq!(sequential, auto);
     }
 
     #[test]
-    fn metrics_worker_count_never_changes_measurements() {
-        // The fused tiled metrics reduction is bit-identical for every
-        // worker count, so measurements — and everything fitted from them —
-        // must not depend on `metrics_workers`.
-        let model = CanonicalObject::Hotdog.build();
-        let configs = vec![BakeConfig::new(10, 3), BakeConfig::new(20, 5)];
-        let sequential =
-            measure_object(&model, &configs, &quick_settings().with_metrics_workers(1));
-        for workers in [2, 4, 7, 0] {
-            let parallel =
-                measure_object(&model, &configs, &quick_settings().with_metrics_workers(workers));
-            assert_eq!(sequential, parallel, "metrics_workers={workers}");
-        }
-    }
-
-    #[test]
     fn batched_dispatch_is_bit_identical_for_every_worker_count_and_lane_width() {
-        // The batched whole-profile evaluation must reproduce the per-sample
-        // reference path bit for bit: same configs, every tested worker
+        // The batched whole-profile evaluation must reproduce the plain
+        // sequential loop bit for bit: same configs, every tested worker
         // count, both lane widths (lane width also reaches the ground-truth
         // ray marching here). `0` = one worker per core.
         let model = CanonicalObject::Hotdog.build();
         let configs = vec![BakeConfig::new(10, 3), BakeConfig::new(16, 5), BakeConfig::new(24, 7)];
-        let reference = measure_object(
-            &model,
-            &configs,
-            &quick_settings().with_dispatch(DispatchMode::PerSample).with_worker_threads(1),
-        );
+        let reference = sequential_reference(&model, &configs, &quick_settings());
         for workers in [1, 2, 4, 7, 0] {
             for lanes in [LaneWidth::X4, LaneWidth::X8] {
                 let batched = measure_object(
                     &model,
                     &configs,
-                    &quick_settings()
-                        .with_dispatch(DispatchMode::Batched)
-                        .with_worker_threads(workers)
-                        .with_lane_width(lanes),
+                    &quick_settings().with_lane_width(lanes),
+                    &on_workers(workers),
                 );
                 assert_eq!(reference, batched, "workers={workers} lanes={lanes:?}");
             }
@@ -607,20 +440,10 @@ mod tests {
         let settings = quick_settings();
         let accounting = MetricsAccounting::new();
         let configs = [BakeConfig::new(10, 3), BakeConfig::new(16, 5)];
-        let _ =
-            measure_object_accounted(&model, &configs, &settings, None, None, Some(&accounting));
+        let context = MeasurementContext { accounting: Some(&accounting), ..Default::default() };
+        let _ = measure_object(&model, &configs, &settings, &context);
         // One metrics evaluation per (config, probe view).
         assert_eq!(accounting.evaluations(), configs.len() * settings.views);
         assert!(accounting.time() > std::time::Duration::ZERO);
-    }
-
-    #[test]
-    fn measure_single_matches_measure_object() {
-        let model = CanonicalObject::Hotdog.build();
-        let settings = quick_settings();
-        let single = measure_single(&model, BakeConfig::new(16, 5), &settings);
-        let batch = measure_object(&model, &[BakeConfig::new(16, 5)], &settings);
-        assert!((single.ssim - batch[0].ssim).abs() < 1e-9);
-        assert!((single.size_mb - batch[0].size_mb).abs() < 1e-6);
     }
 }

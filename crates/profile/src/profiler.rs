@@ -1,12 +1,12 @@
 //! Per-object profiles: sample, measure, fit.
 
 use crate::fit::{fit_quality_model, fit_size_model, fit_splat_models};
-use crate::measurement::{Measurement, MeasurementSettings};
+use crate::measurement::{measure_object, Measurement, MeasurementContext, MeasurementSettings};
 use crate::model::{ProfileModels, QualityModel, SizeModel, SizeQualityModel, SplatModels};
 use crate::sampling::{
     sample_configurations, splat_sample_configurations, SampleRange, SplatSampleRange,
 };
-use nerflex_bake::{BakeCache, BakeConfig};
+use nerflex_bake::BakeConfig;
 use nerflex_scene::object::ObjectModel;
 use serde::{Deserialize, Serialize};
 
@@ -119,67 +119,21 @@ impl SizeQualityModel for ObjectProfile {
 }
 
 /// Builds the profile of one object: pick sample configurations with the
-/// variable-step strategy, measure them, and fit both models.
+/// variable-step strategy, measure them through [`measure_object`] in
+/// `context`, and fit both models. The pipeline engine passes a context holding its shared
+/// bake and ground-truth caches, so every configuration the profiler probes
+/// is already baked if the selector later picks it, and duplicate objects
+/// and repeated runs render each object's probe views once. Neither cache
+/// changes the resulting profile.
 pub fn build_profile(
     model: &ObjectModel,
     object_id: usize,
     options: &ProfilerOptions,
-) -> ObjectProfile {
-    build_profile_cached(model, object_id, options, None)
-}
-
-/// Builds the profile of one object, routing its sample bakes through a
-/// shared [`BakeCache`] when one is given. The pipeline engine always passes
-/// a cache: every configuration the profiler probes is then already baked if
-/// the selector later picks it.
-pub fn build_profile_cached(
-    model: &ObjectModel,
-    object_id: usize,
-    options: &ProfilerOptions,
-    cache: Option<&BakeCache>,
-) -> ObjectProfile {
-    build_profile_in(model, object_id, options, cache, None)
-}
-
-/// [`build_profile_cached`] with the expensive ray-marched ground truth
-/// additionally routed through a shared
-/// [`GroundTruthCache`](crate::ground_truth::GroundTruthCache): the pipeline
-/// engine passes one per run (persistent when a cache directory is
-/// configured), so duplicate objects and repeated runs render each object's
-/// probe views once. Cached ground truths are bit-identical to fresh ones,
-/// so the resulting profile does not depend on where they came from.
-pub fn build_profile_in(
-    model: &ObjectModel,
-    object_id: usize,
-    options: &ProfilerOptions,
-    cache: Option<&BakeCache>,
-    ground_truth: Option<&crate::ground_truth::GroundTruthCache>,
-) -> ObjectProfile {
-    build_profile_accounted(model, object_id, options, cache, ground_truth, None)
-}
-
-/// [`build_profile_in`] with optional wall-clock accounting of the fused
-/// quality-metrics stage ([`crate::measurement::MetricsAccounting`]); the
-/// pipeline engine passes one per profiling run and reports its total as the
-/// `metrics` stage of its timings.
-pub fn build_profile_accounted(
-    model: &ObjectModel,
-    object_id: usize,
-    options: &ProfilerOptions,
-    cache: Option<&BakeCache>,
-    ground_truth: Option<&crate::ground_truth::GroundTruthCache>,
-    accounting: Option<&crate::measurement::MetricsAccounting>,
+    context: &MeasurementContext<'_>,
 ) -> ObjectProfile {
     let mut configs = sample_configurations(&options.range);
     configs.extend(splat_sample_configurations(&options.splats));
-    let samples = crate::measurement::measure_object_accounted(
-        model,
-        &configs,
-        &options.measurement,
-        cache,
-        ground_truth,
-        accounting,
-    );
+    let samples = measure_object(model, &configs, &options.measurement, context);
     build_profile_from_measurements(model, object_id, samples)
 }
 
@@ -217,7 +171,8 @@ mod tests {
     #[test]
     fn quick_profile_is_sane_and_monotone() {
         let model = CanonicalObject::Hotdog.build();
-        let profile = build_profile(&model, 0, &ProfilerOptions::quick());
+        let profile =
+            build_profile(&model, 0, &ProfilerOptions::quick(), &MeasurementContext::default());
         assert_eq!(profile.name, "hotdog");
         assert!(!profile.samples.is_empty());
         // Predictions are monotone in both knobs over the profiled range.
@@ -231,7 +186,8 @@ mod tests {
     #[test]
     fn profile_predicts_its_own_samples_reasonably() {
         let model = CanonicalObject::Chair.build();
-        let profile = build_profile(&model, 2, &ProfilerOptions::quick());
+        let profile =
+            build_profile(&model, 2, &ProfilerOptions::quick(), &MeasurementContext::default());
         for sample in &profile.samples {
             let ps = profile.predict_size(sample.config.grid, sample.config.patch);
             let pq = profile.predict_quality(sample.config.grid, sample.config.patch);
@@ -251,9 +207,15 @@ mod tests {
     #[test]
     fn splat_axis_fits_splat_models_without_perturbing_mesh_models() {
         let model = CanonicalObject::Hotdog.build();
-        let plain = build_profile(&model, 0, &ProfilerOptions::quick());
+        let plain =
+            build_profile(&model, 0, &ProfilerOptions::quick(), &MeasurementContext::default());
         assert!(plain.splat_models.is_none(), "splat axis is off by default");
-        let with_splats = build_profile(&model, 0, &ProfilerOptions::quick_with_splats());
+        let with_splats = build_profile(
+            &model,
+            0,
+            &ProfilerOptions::quick_with_splats(),
+            &MeasurementContext::default(),
+        );
         let splat_models = with_splats.splat_models.expect("splat axis was enabled");
         // The mesh samples are identical in both runs and the mesh fit only
         // sees mesh samples, so the (g, p) models must match exactly.
@@ -268,7 +230,12 @@ mod tests {
     #[test]
     fn predict_config_dispatches_on_the_family() {
         let model = CanonicalObject::Chair.build();
-        let profile = build_profile(&model, 1, &ProfilerOptions::quick_with_splats());
+        let profile = build_profile(
+            &model,
+            1,
+            &ProfilerOptions::quick_with_splats(),
+            &MeasurementContext::default(),
+        );
         let (mesh_size, mesh_quality) =
             profile.predict_config(&BakeConfig::new(20, 5)).expect("mesh always predicts");
         assert!((mesh_size - profile.predict_size(20, 5)).abs() < 1e-12);
@@ -278,7 +245,8 @@ mod tests {
         assert!(splat_size > 0.0);
         assert!(splat_quality > 0.0 && splat_quality <= 1.0);
         // A profile without splat models declines splat configurations.
-        let plain = build_profile(&model, 1, &ProfilerOptions::quick());
+        let plain =
+            build_profile(&model, 1, &ProfilerOptions::quick(), &MeasurementContext::default());
         assert!(plain.predict_config(&BakeConfig::splat(24, 2048)).is_none());
         assert!(plain.predict_config(&BakeConfig::new(20, 5)).is_some());
     }
@@ -286,7 +254,8 @@ mod tests {
     #[test]
     fn min_size_over_picks_the_cheapest_configuration() {
         let model = CanonicalObject::Hotdog.build();
-        let profile = build_profile(&model, 0, &ProfilerOptions::quick());
+        let profile =
+            build_profile(&model, 0, &ProfilerOptions::quick(), &MeasurementContext::default());
         let configs = vec![(10u32, 3u32), (20, 5), (40, 9)];
         let min_size = profile.min_size_over(&configs);
         assert!((min_size - profile.predict_size(10, 3)).abs() < 1e-9);

@@ -11,7 +11,7 @@ use nerflex::core::report::{fmt_f64, Table};
 use nerflex::profile::error::{analyze_errors, holdout_grid};
 use nerflex::profile::measurement::MeasurementSettings;
 use nerflex::profile::sampling::SampleRange;
-use nerflex::profile::{build_profile, ProfilerOptions};
+use nerflex::profile::{build_profile, MeasurementContext, ProfilerOptions};
 use nerflex::scene::object::CanonicalObject;
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
     };
 
     println!("profiling object '{}' with the variable-step sampling strategy ...", object.name());
-    let profile = build_profile(&model, 0, &options);
+    let profile = build_profile(&model, 0, &options, &MeasurementContext::default());
 
     let mut samples = Table::new(
         "Sample points used for curve fitting",

@@ -8,7 +8,7 @@
 
 use nerflex::core::experiments::EvaluationScene;
 use nerflex::core::report::{fmt_f64, Table};
-use nerflex::profile::{build_profile, ObjectProfile, ProfilerOptions};
+use nerflex::profile::{build_profile, MeasurementContext, ObjectProfile, ProfilerOptions};
 use nerflex::solve::{
     ConfigSelector, ConfigSpace, DpSelector, ExhaustiveSelector, FairnessSelector, GreedySelector,
     SelectionProblem, SlsqpSelector,
@@ -25,7 +25,7 @@ fn main() {
         .scene
         .objects()
         .iter()
-        .map(|obj| build_profile(&obj.model, obj.id, &options))
+        .map(|obj| build_profile(&obj.model, obj.id, &options, &MeasurementContext::default()))
         .collect();
     for p in &profiles {
         println!(

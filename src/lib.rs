@@ -25,8 +25,13 @@
 //! staged passes (segmentation → profiling → selection → baking) with three
 //! properties that keep preparation cheap (the paper's Fig. 9 story):
 //!
-//! * profiling and baking fan out over a worker pool
-//!   ([`core::pipeline::PipelineOptions::worker_threads`]);
+//! * profiling and baking fan out over one shared worker pool under a
+//!   single worker setting,
+//!   [`core::pipeline::PipelineOptions::worker_threads`], which the engine
+//!   splits into objects × per-profile width; the profiler itself has one
+//!   entry point, [`profile::build_profile`], whose
+//!   [`profile::MeasurementContext`] carries the shared caches and that
+//!   width;
 //! * every sample bake the profiler pays for lands in a shared
 //!   [`bake::BakeCache`], so a selected configuration that was already
 //!   probed is never re-baked ([`core::pipeline::StageTimings`] reports the

@@ -3,10 +3,11 @@
 //! (zero re-renders on a warm store), and end-to-end bit-identity of the
 //! tiled/packet ray marcher through the profiling stage.
 
+use nerflex::bake::BakeConfig;
 use nerflex::core::pipeline::{NerflexPipeline, PipelineOptions};
 use nerflex::device::DeviceSpec;
 use nerflex::profile::measurement::MeasurementSettings;
-use nerflex::profile::GroundTruthCache;
+use nerflex::profile::{measure_object, GroundTruthCache, MeasurementContext};
 use nerflex::scene::dataset::Dataset;
 use nerflex::scene::object::CanonicalObject;
 use nerflex::scene::scene::Scene;
@@ -109,34 +110,33 @@ fn cache_limits_thread_through_to_both_pipeline_stores() {
 
 #[test]
 fn ground_truth_workers_never_change_measurements() {
-    // End-to-end determinism across the tiled/packet renderer: profiles
-    // measured with sequential ground-truth renders and with multi-worker
-    // tiled renders are identical to the last bit.
+    // End-to-end determinism across the tiled/packet renderer: ground
+    // truths rendered by measurements on a sequential context and on
+    // multi-worker contexts (which tile the renders) are identical to the
+    // last bit, and so are the measurements scored against them.
     let model = CanonicalObject::Chair.build();
-    let settings = MeasurementSettings {
-        views: 2,
-        resolution: 40,
-        worker_threads: 1,
-        ground_truth_workers: 1,
-        metrics_workers: 1,
-        ..MeasurementSettings::default()
+    let settings =
+        MeasurementSettings { views: 2, resolution: 40, ..MeasurementSettings::default() };
+    let configs = [BakeConfig::new(10, 3), BakeConfig::new(16, 5)];
+    let measure_on = |workers| {
+        let cache = GroundTruthCache::new();
+        let context =
+            MeasurementContext { ground_truth: Some(&cache), workers, ..Default::default() };
+        let measurements = measure_object(&model, &configs, &settings, &context);
+        assert_eq!(cache.stats().builds, 1, "the measurement rendered the ground truth");
+        (cache.get_or_build(&model, &settings, 1).images.clone(), measurements)
     };
-    let cache_seq = GroundTruthCache::new();
-    let cache_par = GroundTruthCache::new();
-    let sequential = cache_seq.get_or_build(&model, &settings);
-    let parallel = cache_par.get_or_build(&model, &settings.with_ground_truth_workers(4));
-    assert_eq!(sequential.images, parallel.images, "tiling must be invisible in the output");
-
-    let auto = GroundTruthCache::new()
-        .get_or_build(&model, &settings.with_ground_truth_workers(0))
-        .images
-        .clone();
-    assert_eq!(sequential.images, auto);
+    let (sequential, measured) = measure_on(1);
+    for workers in [4, 0] {
+        let (images, measurements) = measure_on(workers);
+        assert_eq!(sequential, images, "tiling must be invisible in the output: workers={workers}");
+        assert_eq!(measured, measurements, "workers={workers}");
+    }
 }
 
 #[test]
 fn fleet_deployment_shares_ground_truths_across_devices() {
-    // deploy_fleet profiles once for the whole fleet: the ground-truth cache
+    // try_deploy_fleet profiles once for the whole fleet: the ground-truth cache
     // must render each distinct object exactly once regardless of fleet size.
     let (scene, dataset) = small_setup();
     let devices = [DeviceSpec::iphone_13(), DeviceSpec::pixel_4()];

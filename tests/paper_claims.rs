@@ -14,7 +14,7 @@ use nerflex::core::evaluation::{evaluate_baseline, evaluate_deployment};
 use nerflex::core::experiments::EvaluationScene;
 use nerflex::core::pipeline::{NerflexPipeline, PipelineOptions};
 use nerflex::device::DeviceSpec;
-use nerflex::profile::{build_profile, ProfilerOptions};
+use nerflex::profile::{build_profile, MeasurementContext, ProfilerOptions};
 use nerflex::solve::{
     ConfigSelector, ConfigSpace, DpSelector, FairnessSelector, SelectionProblem, SlsqpSelector,
 };
@@ -129,7 +129,14 @@ fn figure7_shape_dp_beats_fairness_and_slsqp_on_predicted_quality() {
         .scene
         .objects()
         .iter()
-        .map(|obj| build_profile(&obj.model, obj.id, &ProfilerOptions::quick()))
+        .map(|obj| {
+            build_profile(
+                &obj.model,
+                obj.id,
+                &ProfilerOptions::quick(),
+                &MeasurementContext::default(),
+            )
+        })
         .collect();
     let space = ConfigSpace::quick();
     // A budget around half of the maximum keeps the allocation interesting.

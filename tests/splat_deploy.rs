@@ -9,7 +9,7 @@ use nerflex::bake::{BakeFamily, StoreOptions};
 use nerflex::core::pipeline::PipelineOptions;
 use nerflex::core::service::{DeployRequest, DeployService, ServiceOptions};
 use nerflex::device::DeviceSpec;
-use nerflex::profile::{build_profile, ObjectProfile, ProfilerOptions};
+use nerflex::profile::{build_profile, MeasurementContext, ObjectProfile, ProfilerOptions};
 use nerflex::scene::dataset::Dataset;
 use nerflex::scene::object::CanonicalObject;
 use nerflex::scene::scene::Scene;
@@ -74,7 +74,7 @@ fn tight_budget_mb() -> f64 {
         let profiles: Vec<ObjectProfile> = scene
             .objects()
             .iter()
-            .map(|obj| build_profile(&obj.model, obj.id, &profiler))
+            .map(|obj| build_profile(&obj.model, obj.id, &profiler, &MeasurementContext::default()))
             .collect();
         let space = splat_space();
         let min_of = |profile: &ObjectProfile, mesh: bool| {
